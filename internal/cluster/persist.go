@@ -36,6 +36,13 @@ type PersistentManager struct {
 	// Replay accounting, surfaced on /stats.
 	replayedPending atomic.Int64
 	replayedResults atomic.Int64
+
+	// watching counts watch goroutines that have not yet journaled their
+	// job's terminal record; idle, when non-nil, is closed as the count
+	// returns to zero (see Flush).
+	watchMu  sync.Mutex
+	watching int
+	idle     chan struct{}
 }
 
 // NewPersistentManager wires a store onto a manager. Register executors
@@ -90,7 +97,14 @@ func (p *PersistentManager) submit(kind string, payload json.RawMessage, opts jo
 	if logicalID != "" {
 		idCell.Store(logicalID)
 	}
+	// submitted is closed when submit returns, after the submit record is
+	// appended: the job holds its start record until then, so a worker
+	// that picks the job up at once cannot journal "start" before
+	// "submit".
+	submitted := make(chan struct{})
+	defer close(submitted)
 	fn := func(ctx context.Context) (any, error) {
+		<-submitted
 		if id, ok := idCell.Load().(string); ok {
 			_ = p.store.Append(Record{Op: OpStart, ID: id})
 		}
@@ -126,12 +140,48 @@ func (p *PersistentManager) submit(kind string, payload json.RawMessage, opts jo
 		// and every future restart would re-submit it.
 		_ = p.store.Append(Record{Op: OpResume, ID: logicalID})
 	}
+	p.watchMu.Lock()
+	p.watching++
+	p.watchMu.Unlock()
 	go p.watch(logicalID, j)
 	return j, shared, nil
 }
 
+// Flush waits until every submitted job's terminal record has been
+// appended, or ctx ends. A job's waiters can see its result before that
+// record is written, so closing the store right after the manager drains
+// would drop the done record of a job already answered, and the next
+// process would re-run it. Call after the manager has shut down.
+func (p *PersistentManager) Flush(ctx context.Context) error {
+	p.watchMu.Lock()
+	if p.watching == 0 {
+		p.watchMu.Unlock()
+		return nil
+	}
+	if p.idle == nil {
+		p.idle = make(chan struct{})
+	}
+	idle := p.idle
+	p.watchMu.Unlock()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // watch journals the terminal transition of one job.
 func (p *PersistentManager) watch(logicalID string, j *jobs.Job) {
+	defer func() {
+		p.watchMu.Lock()
+		p.watching--
+		if p.watching == 0 && p.idle != nil {
+			close(p.idle)
+			p.idle = nil
+		}
+		p.watchMu.Unlock()
+	}()
 	_, _ = j.Wait(context.Background())
 	snap := j.Snapshot()
 	rec := Record{ID: logicalID}

@@ -10,11 +10,9 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"artisan/internal/bench"
 	"artisan/internal/jobs"
@@ -26,9 +24,9 @@ type GenBenchConfig struct {
 	Seed   int64
 	// Designers is a subset of the bench roster; empty = all.
 	Designers []string
-	// Workers > 1 fans (designer, trial) cells out over a worker pool;
-	// tasks and transcripts depend only on (Seed, trial), so the parallel
-	// table is byte-identical to the serial one.
+	// Workers is how many (designer, trial) cells run at once (<= 1 runs
+	// them in order); tasks and transcripts depend only on (Seed, trial),
+	// so every worker count yields a byte-identical table.
 	Workers int
 }
 
@@ -110,13 +108,8 @@ func (t *GenBenchTable) String() string {
 
 // genBenchCell addresses one (designer, trial) unit of the sweep.
 type genBenchCell struct {
-	designer string
-	trial    int
-	seed     int64
-}
-
-func (c genBenchCell) key() string {
-	return fmt.Sprintf("gb|%s|trial=%d|seed=%d", c.designer, c.trial, c.seed)
+	d     bench.Designer
+	trial int
 }
 
 // RunGenBench executes the sweep.
@@ -144,9 +137,7 @@ func RunGenBenchContext(ctx context.Context, cfg GenBenchConfig) (*GenBenchTable
 	}
 
 	// The task set is shared: generated once per trial index, seeded from
-	// (Seed, trial) alone. Task generation is cheap relative to analysis,
-	// so the parallel path regenerates per cell rather than sharing
-	// pointers across workers.
+	// (Seed, trial) alone, and only read by the trials that analyze it.
 	tasks := make([]*bench.Task, cfg.Trials)
 	for i := range tasks {
 		if err := ctx.Err(); err != nil {
@@ -159,26 +150,22 @@ func RunGenBenchContext(ctx context.Context, cfg GenBenchConfig) (*GenBenchTable
 		tasks[i] = t
 	}
 
-	var results []bench.TrialResult
-	if cfg.Workers > 1 {
-		var err error
-		results, err = runGenBenchParallel(ctx, cfg, designers)
-		if err != nil {
-			return nil, err
+	var cells []genBenchCell
+	for _, d := range designers {
+		for i := range tasks {
+			cells = append(cells, genBenchCell{d: d, trial: i})
 		}
-	} else {
-		for _, d := range designers {
-			for i, task := range tasks {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				res, err := bench.RunTrial(ctx, d, task)
-				if err != nil {
-					return nil, fmt.Errorf("experiment: genbench trial %d: %w", i, err)
-				}
-				results = append(results, res)
+	}
+	results, err := jobs.Map(ctx, max(cfg.Workers, 1), cells,
+		func(ctx context.Context, c genBenchCell) (bench.TrialResult, error) {
+			res, err := bench.RunTrial(ctx, c.d, tasks[c.trial])
+			if err != nil {
+				return bench.TrialResult{}, fmt.Errorf("experiment: genbench %s trial %d: %w", c.d.Name(), c.trial, err)
 			}
-		}
+			return res, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 
 	table := &GenBenchTable{Cfg: cfg}
@@ -190,85 +177,8 @@ func RunGenBenchContext(ctx context.Context, cfg GenBenchConfig) (*GenBenchTable
 	return table, nil
 }
 
-// runGenBenchParallel fans every (designer, trial) cell out over a jobs
-// manager; cells regenerate their own task from the derived seed and
-// results reassemble in index order, so the parallel table is byte-
-// identical to the serial one.
-func runGenBenchParallel(ctx context.Context, cfg GenBenchConfig, designers []bench.Designer) ([]bench.TrialResult, error) {
-	var cells []genBenchCell
-	for _, d := range designers {
-		for i := 0; i < cfg.Trials; i++ {
-			cells = append(cells, genBenchCell{designer: d.Name(), trial: i, seed: genBenchSeed(cfg.Seed, i)})
-		}
-	}
-	mgr := jobs.NewManager(jobs.Config{
-		Workers: cfg.Workers, Queue: len(cells), CacheSize: len(cells),
-	})
-	defer func() {
-		drain, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = mgr.Shutdown(drain)
-	}()
-
-	sweepCtx, cancelSweep := context.WithCancel(ctx)
-	defer cancelSweep()
-
-	items := make([]jobs.BatchItem, len(cells))
-	for i, cell := range cells {
-		cell := cell
-		items[i] = jobs.BatchItem{
-			Fn: func(jctx context.Context) (any, error) {
-				runCtx, cancel := context.WithCancel(jctx)
-				defer cancel()
-				stop := context.AfterFunc(sweepCtx, cancel)
-				defer stop()
-				if err := sweepCtx.Err(); err != nil {
-					return nil, err
-				}
-				task, err := bench.NewTask(cell.trial, cell.seed)
-				if err == nil {
-					var res bench.TrialResult
-					res, err = bench.RunTrial(runCtx, bench.DesignerByName(cell.designer), task)
-					if err == nil {
-						return res, nil
-					}
-				}
-				if cerr := sweepCtx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				cancelSweep()
-				return nil, fmt.Errorf("experiment: genbench %s trial %d: %w", cell.designer, cell.trial, err)
-			},
-			Opts: jobs.SubmitOpts{Key: cell.key()},
-		}
-	}
-
-	raw, errs := jobs.WaitBatch(sweepCtx, mgr.SubmitBatch(items))
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	results := make([]bench.TrialResult, len(raw))
-	for i, v := range raw {
-		results[i] = v.(bench.TrialResult)
-	}
-	return results, nil
-}
-
 // genBenchSeed derives the trial's task seed from config alone, so
-// serial and parallel sweeps (and re-runs) agree.
+// every worker count (and every re-run) agrees.
 func genBenchSeed(base int64, trial int) int64 {
 	return base + int64(trial)*7919
 }
@@ -298,8 +208,8 @@ func summarizeTasks(tasks []*bench.Task) ([]int, []string) {
 	return stages, fams
 }
 
-// aggregateGenBenchRow folds one designer's trial results; shared by the
-// serial and parallel sweeps so both produce identical tables.
+// aggregateGenBenchRow folds one designer's trial results, in trial
+// order, into a row.
 func aggregateGenBenchRow(name string, cfg GenBenchConfig, results []bench.TrialResult) GenBenchRow {
 	row := GenBenchRow{Designer: name, Trials: cfg.Trials}
 	for _, r := range results {

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -48,10 +47,10 @@ type Config struct {
 	Methods     []Method
 	Groups      []string // subset of G-1..G-5; empty = all
 	Cost        CostModel
-	// Workers > 1 fans trial runs out over a worker pool. Per-trial
-	// seeds are derived from (Seed, trial index, group), never from
-	// execution order, so the parallel harness produces byte-identical
-	// Table 3 cells to the serial one.
+	// Workers is how many trials run at once (<= 1 runs them in order).
+	// Per-trial seeds are derived from (Seed, trial index, group), never
+	// from execution order, so every worker count produces byte-identical
+	// Table 3 cells.
 	Workers int
 	// FaultRate, when positive, runs the Artisan trials in chaos mode:
 	// every designer call fails with that probability (seeded per trial,
@@ -116,7 +115,9 @@ func Run(cfg Config) (*Table3, error) {
 
 // RunContext executes the comparison under a context: cancellation stops
 // the sweep between trials (and mid-trial inside the agent sessions) and
-// returns the context's error instead of a partial table.
+// returns the context's error instead of a partial table. Trials fan out
+// over cfg.Workers through jobs.Map; the first failing trial aborts the
+// sweep and its error names the cell.
 func RunContext(ctx context.Context, cfg Config) (*Table3, error) {
 	if cfg.Trials < 1 {
 		return nil, fmt.Errorf("experiment: trials must be >= 1")
@@ -124,33 +125,69 @@ func RunContext(ctx context.Context, cfg Config) (*Table3, error) {
 	if len(cfg.Methods) == 0 {
 		cfg.Methods = AllMethods()
 	}
-	groups := spec.Groups()
-	if len(cfg.Groups) > 0 {
-		var sel []spec.Spec
-		for _, name := range cfg.Groups {
-			g, err := spec.Group(name)
-			if err != nil {
-				return nil, err
-			}
-			sel = append(sel, g)
-		}
-		groups = sel
+	groups, err := selectGroups(cfg.Groups)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Workers > 1 {
-		return runParallel(ctx, cfg, groups)
-	}
-	t3 := &Table3{Cfg: cfg}
+	// Trials that share a key (see trialTask.key) run once and every one
+	// of them reuses the result.
+	var tasks, uniq []trialTask
+	var slots []int // tasks[i] reuses the result of uniq[slots[i]]
+	seen := map[trialKey]int{}
 	for _, m := range cfg.Methods {
 		for _, g := range groups {
-			cell, phases, err := runCell(ctx, m, g, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: %s on %s: %w", m, g.Name, err)
+			for i := 0; i < cfg.Trials; i++ {
+				task := trialTask{m: m, g: g, seed: trialSeed(cfg.Seed, i, g.Name)}
+				j, ok := seen[task.key()]
+				if !ok {
+					j = len(uniq)
+					seen[task.key()] = j
+					uniq = append(uniq, task)
+				}
+				tasks = append(tasks, task)
+				slots = append(slots, j)
 			}
-			t3.Cells = append(t3.Cells, cell)
-			t3.addPhases(m, g.Name, phases)
 		}
 	}
+	ran, err := jobs.Map(ctx, max(cfg.Workers, 1), uniq,
+		func(ctx context.Context, t trialTask) (trialResult, error) {
+			tr, err := runTrial(ctx, t.m, t.g, cfg, t.seed)
+			if err != nil {
+				return trialResult{}, fmt.Errorf("experiment: %s on %s: %w", t.m, t.g.Name, err)
+			}
+			return tr, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	t3 := &Table3{Cfg: cfg}
+	for ci := 0; ci < len(tasks); ci += cfg.Trials {
+		results := make([]trialResult, cfg.Trials)
+		for i := range results {
+			results[i] = ran[slots[ci+i]]
+		}
+		task := tasks[ci]
+		t3.Cells = append(t3.Cells, aggregateCell(task.m, task.g, cfg, results))
+		t3.addPhases(task.m, task.g.Name, meanPhases(results))
+	}
 	return t3, nil
+}
+
+// selectGroups resolves the named spec groups in the given order; no
+// names selects all of G-1..G-5.
+func selectGroups(names []string) ([]spec.Spec, error) {
+	if len(names) == 0 {
+		return spec.Groups(), nil
+	}
+	groups := make([]spec.Spec, 0, len(names))
+	for _, name := range names {
+		g, err := spec.Group(name)
+		if err != nil {
+			return nil, err
+		}
+		groups = append(groups, g)
+	}
+	return groups, nil
 }
 
 // trialTask addresses one (method, group, trial) unit of the sweep.
@@ -160,111 +197,22 @@ type trialTask struct {
 	seed int64
 }
 
-// key canonicalizes a trial for the pool's coalescing map and result
-// cache. Seeded methods key on their per-trial seed, so every trial runs.
-// The off-the-shelf LLM baselines ignore the seed entirely — their
-// repeated trials share one key and coalesce to a single run whose
-// result every trial of the cell reuses.
-func (t trialTask) key(cfg Config) string {
-	if t.m == MethodGPT4 || t.m == MethodLlama2 {
-		return fmt.Sprintf("trial|%s|%s|budget=%d", t.m, t.g.Name, cfg.Budget)
-	}
-	return fmt.Sprintf("trial|%s|%s|budget=%d|seed=%d", t.m, t.g.Name, cfg.Budget, t.seed)
+// trialKey identifies the work a trial does within one sweep.
+type trialKey struct {
+	m     Method
+	group string
+	seed  int64
 }
 
-// runParallel fans every trial of every cell out over a jobs manager via
-// SubmitBatch — the same coalescing batch primitive behind the server's
-// batch endpoints — so duplicate trials (the seed-blind LLM baselines)
-// run once per cell. Each trial is seeded exactly as in the serial path
-// and results are reassembled in (method, group, trial) index order, so
-// the resulting Table 3 is byte-identical to a serial run with the same
-// Config.
-func runParallel(ctx context.Context, cfg Config, groups []spec.Spec) (*Table3, error) {
-	var tasks []trialTask
-	for _, m := range cfg.Methods {
-		for _, g := range groups {
-			for i := 0; i < cfg.Trials; i++ {
-				tasks = append(tasks, trialTask{m: m, g: g, seed: trialSeed(cfg.Seed, i, g.Name)})
-			}
-		}
+// key collapses trials that must produce the same result. Seeded methods
+// keep their per-trial seed, so every trial is distinct. The off-the-shelf
+// LLM baselines ignore the seed entirely, so their repeated trials in a
+// cell share one key.
+func (t trialTask) key() trialKey {
+	if t.m == MethodGPT4 || t.m == MethodLlama2 {
+		return trialKey{m: t.m, group: t.g.Name}
 	}
-
-	mgr := jobs.NewManager(jobs.Config{
-		Workers: cfg.Workers, Queue: len(tasks), CacheSize: len(tasks),
-	})
-	defer func() {
-		drain, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = mgr.Shutdown(drain)
-	}()
-
-	// sweepCtx merges the caller's context with first-error abort: any
-	// failing trial cancels the rest of the sweep, matching the serial
-	// harness's stop-at-first-error behavior.
-	sweepCtx, cancelSweep := context.WithCancel(ctx)
-	defer cancelSweep()
-
-	items := make([]jobs.BatchItem, len(tasks))
-	for i, task := range tasks {
-		task := task
-		items[i] = jobs.BatchItem{
-			Fn: func(jctx context.Context) (any, error) {
-				// The pool runs jobs under its own context; bridge the
-				// sweep context in so caller cancellation (and first-error
-				// abort) stops running trials too.
-				runCtx, cancel := context.WithCancel(jctx)
-				defer cancel()
-				stop := context.AfterFunc(sweepCtx, cancel)
-				defer stop()
-				if err := sweepCtx.Err(); err != nil {
-					return nil, err
-				}
-				tr, err := runTrial(runCtx, task.m, task.g, cfg, task.seed)
-				if err != nil {
-					if cerr := sweepCtx.Err(); cerr != nil {
-						return nil, cerr
-					}
-					cancelSweep()
-					return nil, fmt.Errorf("experiment: %s on %s: %w", task.m, task.g.Name, err)
-				}
-				return tr, nil
-			},
-			Opts: jobs.SubmitOpts{Key: task.key(cfg)},
-		}
-	}
-
-	raw, errs := jobs.WaitBatch(sweepCtx, mgr.SubmitBatch(items))
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		// Prefer the root-cause trial error over the context.Canceled
-		// noise the first-error abort induces in its neighbours.
-		if !errors.Is(err, context.Canceled) {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	results := make([]trialResult, len(raw))
-	for i, v := range raw {
-		results[i] = v.(trialResult)
-	}
-	t3 := &Table3{Cfg: cfg}
-	for ci := 0; ci*cfg.Trials < len(results); ci++ {
-		task := tasks[ci*cfg.Trials]
-		cellResults := results[ci*cfg.Trials : (ci+1)*cfg.Trials]
-		cell := aggregateCell(task.m, task.g, cfg, cellResults)
-		t3.Cells = append(t3.Cells, cell)
-		t3.addPhases(task.m, task.g.Name, meanPhases(cellResults))
-	}
-	return t3, nil
+	return trialKey{m: t.m, group: t.g.Name, seed: t.seed}
 }
 
 type trialResult struct {
@@ -282,23 +230,8 @@ func trialSeed(base int64, trial int, group string) int64 {
 	return base + int64(trial)*1009 + hashGroup(group)
 }
 
-func runCell(ctx context.Context, m Method, g spec.Spec, cfg Config) (Cell, PhaseTimes, error) {
-	var results []trialResult
-	for i := 0; i < cfg.Trials; i++ {
-		if err := ctx.Err(); err != nil {
-			return Cell{Method: m, Group: g.Name, Trials: cfg.Trials}, nil, err
-		}
-		tr, err := runTrial(ctx, m, g, cfg, trialSeed(cfg.Seed, i, g.Name))
-		if err != nil {
-			return Cell{Method: m, Group: g.Name, Trials: cfg.Trials}, nil, err
-		}
-		results = append(results, tr)
-	}
-	return aggregateCell(m, g, cfg, results), meanPhases(results), nil
-}
-
-// aggregateCell folds trial results into one Table 3 cell. Shared by the
-// serial and parallel harnesses so both produce identical cells.
+// aggregateCell folds one cell's trial results, in trial order, into a
+// Table 3 cell.
 func aggregateCell(m Method, g spec.Spec, cfg Config, results []trialResult) Cell {
 	cell := Cell{Method: m, Group: g.Name, Trials: cfg.Trials}
 	var tsum time.Duration

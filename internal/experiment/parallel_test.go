@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -43,15 +44,22 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// Errors inside a parallel trial surface with cell context.
+// A failing trial aborts the sweep with an error naming its cell, for
+// every worker count: 0 and 1 run trials in order, 4 runs them at once.
 func TestParallelPropagatesErrors(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.Trials = 2
-	cfg.Workers = 4
-	cfg.Budget = 5 // below BOBO's minimum → deterministic error
-	cfg.Groups = []string{"G-1"}
-	cfg.Methods = []Method{MethodBOBO}
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("want budget error from parallel harness")
+	for _, workers := range []int{0, 1, 4} {
+		cfg := DefaultConfig(1)
+		cfg.Trials = 2
+		cfg.Workers = workers
+		cfg.Budget = 5 // below BOBO's minimum → deterministic error
+		cfg.Groups = []string{"G-1"}
+		cfg.Methods = []Method{MethodBOBO}
+		_, err := Run(cfg)
+		if err == nil {
+			t.Fatalf("workers=%d: want budget error from harness", workers)
+		}
+		if !strings.Contains(err.Error(), "BOBO on G-1") {
+			t.Errorf("workers=%d: error %q does not name the cell", workers, err)
+		}
 	}
 }

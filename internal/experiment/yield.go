@@ -1,12 +1,13 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 
+	"artisan/internal/jobs"
 	"artisan/internal/measure"
 	"artisan/internal/netlist"
 	"artisan/internal/spec"
@@ -18,19 +19,22 @@ import (
 // margin, while black-box search tends to stop on a constraint boundary,
 // so equal nominal performance can hide very different yields.
 //
-// Samples are embarrassingly parallel, so the run shards across workers
-// the same way mna.SweepParallel shards frequency points. Determinism
-// contract: each sample derives its own RNG stream from (Seed, index)
-// via a splitmix64 mix and is measured independently, and per-sample
-// outcomes are aggregated in index order — so the result is byte-for-byte
-// identical for any Workers value, including the serial path.
+// Samples are embarrassingly parallel: the run splits them into one
+// contiguous shard per worker and fans the shards out through jobs.Map,
+// the same fan-out every experiment sweep uses. Determinism contract:
+// each sample derives its own RNG stream from (Seed, index) via a
+// splitmix64 mix and is measured independently, and the shards' pass and
+// violation tallies are sums — so the result is identical for any
+// Workers value, including 1.
 
 // YieldOpts configures the Monte-Carlo run.
 type YieldOpts struct {
 	Samples int     // Monte-Carlo trials (default 200)
 	Sigma   float64 // log-normal σ applied to every R/C/gm value (default 0.05)
 	Seed    int64
-	Workers int // sampling goroutines (0 = GOMAXPROCS, 1 = serial)
+	// Workers is the number of sample shards run at once, each with its
+	// own measurement session (0 = GOMAXPROCS, 1 = one shard, in order).
+	Workers int
 }
 
 // DefaultYieldOpts matches a mature-process 5 % component spread.
@@ -57,13 +61,6 @@ func (r YieldResult) Yield() float64 {
 // String renders the result.
 func (r YieldResult) String() string {
 	return fmt.Sprintf("yield %.1f%% (%d/%d)", 100*r.Yield(), r.Pass, r.Samples)
-}
-
-// sampleOutcome is one sample's verdict, aggregated in index order after
-// all shards finish.
-type sampleOutcome struct {
-	pass       bool
-	violations []string // metric names; "simulation" on measurement error
 }
 
 // splitmixSource is a splitmix64 rand.Source64. Unlike the standard
@@ -111,73 +108,59 @@ func MonteCarloYield(nl *netlist.Netlist, sp spec.Spec, opts YieldOpts) (YieldRe
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > opts.Samples {
-		workers = opts.Samples
+	// One contiguous [lo, hi) shard per worker, so each worker builds one
+	// MCSession and one scale buffer for all of its samples.
+	type shard struct{ lo, hi int }
+	var shards []shard
+	chunk := (opts.Samples + workers - 1) / workers
+	for lo := 0; lo < opts.Samples; lo += chunk {
+		shards = append(shards, shard{lo, min(lo+chunk, opts.Samples)})
 	}
 
-	// runShard measures samples [lo, hi) with a worker-private session and
-	// RNG; every per-sample quantity depends only on the sample index.
-	outcomes := make([]sampleOutcome, opts.Samples)
-	runShard := func(lo, hi int) {
-		sess := an.Session()
-		scale := make([]float64, len(nl.Devices))
-		var src splitmixSource
-		rng := rand.New(&src)
-		for i := lo; i < hi; i++ {
-			src.seedSample(opts.Seed, i)
-			for d := range nl.Devices {
-				switch nl.Devices[d].Kind {
-				case netlist.Resistor, netlist.Capacitor, netlist.VCCS:
-					scale[d] = math.Exp(rng.NormFloat64() * opts.Sigma)
-				default:
-					scale[d] = 1
+	// Every per-sample quantity depends only on the sample index, and the
+	// shard tallies are sums, so the merged result is the same for any
+	// sharding.
+	tallies, err := jobs.Map(context.TODO(), len(shards), shards,
+		func(_ context.Context, sh shard) (YieldResult, error) {
+			part := YieldResult{Violations: map[string]int{}}
+			sess := an.Session()
+			scale := make([]float64, len(nl.Devices))
+			var src splitmixSource
+			rng := rand.New(&src)
+			for i := sh.lo; i < sh.hi; i++ {
+				src.seedSample(opts.Seed, i)
+				for d := range nl.Devices {
+					switch nl.Devices[d].Kind {
+					case netlist.Resistor, netlist.Capacitor, netlist.VCCS:
+						scale[d] = math.Exp(rng.NormFloat64() * opts.Sigma)
+					default:
+						scale[d] = 1
+					}
+				}
+				rep, err := sess.Analyze(scale)
+				if err != nil {
+					part.Violations["simulation"]++
+					continue
+				}
+				vs := sp.Check(rep)
+				if len(vs) == 0 {
+					part.Pass++
+				}
+				for _, v := range vs {
+					part.Violations[v.Metric]++
 				}
 			}
-			rep, err := sess.Analyze(scale)
-			if err != nil {
-				outcomes[i] = sampleOutcome{violations: []string{"simulation"}}
-				continue
-			}
-			vs := sp.Check(rep)
-			if len(vs) == 0 {
-				outcomes[i] = sampleOutcome{pass: true}
-				continue
-			}
-			names := make([]string, len(vs))
-			for k, v := range vs {
-				names[k] = v.Metric
-			}
-			outcomes[i] = sampleOutcome{violations: names}
-		}
-	}
-
-	if workers <= 1 {
-		runShard(0, opts.Samples)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (opts.Samples + workers - 1) / workers
-		for lo := 0; lo < opts.Samples; lo += chunk {
-			hi := lo + chunk
-			if hi > opts.Samples {
-				hi = opts.Samples
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				runShard(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
+			return part, nil
+		})
+	if err != nil {
+		return YieldResult{}, fmt.Errorf("experiment: %w", err)
 	}
 
 	res := YieldResult{Samples: opts.Samples, Violations: map[string]int{}}
-	for i := range outcomes {
-		if outcomes[i].pass {
-			res.Pass++
-			continue
-		}
-		for _, m := range outcomes[i].violations {
-			res.Violations[m]++
+	for _, part := range tallies {
+		res.Pass += part.Pass
+		for m, n := range part.Violations {
+			res.Violations[m] += n
 		}
 	}
 	return res, nil

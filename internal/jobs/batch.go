@@ -24,7 +24,7 @@ type BatchEntry struct {
 // once and share the result, and previously cached keys complete
 // instantly. Entries are returned in item order. SubmitBatch is the
 // primitive behind the server's /design/batch and /simulate/batch
-// endpoints and the experiment harness's parallel sweep.
+// endpoints.
 func (m *Manager) SubmitBatch(items []BatchItem) []BatchEntry {
 	out := make([]BatchEntry, len(items))
 	for i, it := range items {

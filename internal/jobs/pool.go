@@ -11,7 +11,8 @@ import (
 // results in input order, which keeps parallel runs byte-identical to
 // serial ones when fn is deterministic per item. The first error cancels
 // the shared context and aborts remaining work; panics in fn are
-// converted to errors. workers < 1 defaults to GOMAXPROCS.
+// converted to errors. workers < 1 defaults to GOMAXPROCS. Every
+// experiment sweep fans out through Map.
 func Map[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, item T) (R, error)) ([]R, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)

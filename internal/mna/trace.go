@@ -2,15 +2,16 @@ package mna
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 
 	"artisan/internal/telemetry"
 )
 
 // Context-aware wrappers around the solver entry points. They add
 // telemetry spans — one per MNA solve — so a traced design session shows
-// where simulation time goes; without a tracer in ctx the span calls are
-// free. The solves themselves are unchanged.
+// where simulation time goes; without a tracer in ctx the span is nil and
+// no attribute is formatted, so an untraced call allocates no more than
+// its plain twin. The solves themselves are unchanged.
 
 // SweepContext is Sweep with a telemetry span ("mna.sweep") recording
 // the matrix size and point count.
@@ -18,8 +19,10 @@ func (c *Circuit) SweepContext(ctx context.Context, out string, fStart, fStop fl
 	_, span := telemetry.StartSpan(ctx, "mna.sweep")
 	defer span.End()
 	pts, err := c.Sweep(out, fStart, fStop, perDecade)
-	span.SetAttr("size", fmt.Sprintf("%d", c.Size()))
-	span.SetAttr("points", fmt.Sprintf("%d", len(pts)))
+	if span != nil {
+		span.SetAttr("size", strconv.Itoa(c.Size()))
+		span.SetAttr("points", strconv.Itoa(len(pts)))
+	}
 	return pts, err
 }
 
@@ -28,7 +31,9 @@ func (c *Circuit) PolesContext(ctx context.Context) ([]complex128, error) {
 	_, span := telemetry.StartSpan(ctx, "mna.poles")
 	defer span.End()
 	poles, err := c.Poles()
-	span.SetAttr("n", fmt.Sprintf("%d", len(poles)))
+	if span != nil {
+		span.SetAttr("n", strconv.Itoa(len(poles)))
+	}
 	return poles, err
 }
 
@@ -37,6 +42,8 @@ func (c *Circuit) ZerosContext(ctx context.Context, out string) ([]complex128, e
 	_, span := telemetry.StartSpan(ctx, "mna.zeros")
 	defer span.End()
 	zeros, err := c.Zeros(out)
-	span.SetAttr("n", fmt.Sprintf("%d", len(zeros)))
+	if span != nil {
+		span.SetAttr("n", strconv.Itoa(len(zeros)))
+	}
 	return zeros, err
 }

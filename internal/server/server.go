@@ -297,12 +297,16 @@ func (s *Server) StartDraining() { s.draining.Store(true) }
 // Draining reports whether the node is shutting down.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Shutdown marks the node draining, drains the design worker pool, and
-// closes the persistent job store (used for graceful exit).
+// Shutdown marks the node draining, drains the design worker pool, waits
+// for the drained jobs' terminal records to reach the journal, and closes
+// the persistent job store (used for graceful exit).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.StartDraining()
 	err := s.jobs.Shutdown(ctx)
 	if s.persist != nil {
+		if ferr := s.persist.Flush(ctx); err == nil {
+			err = ferr
+		}
 		if cerr := s.persist.Store().Close(); err == nil {
 			err = cerr
 		}

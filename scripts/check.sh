@@ -1,11 +1,13 @@
 #!/bin/sh
-# CI gate: vet, build, full test suite, a race pass over the
+# CI gate: gofmt, vet, build, full test suite, a race pass over the
 # concurrency-heavy packages, a two-node router smoke, a chaos smoke
 # over the resilience layer, a hot-path perf gate against the committed
 # benchmark baseline, and an errcheck-style grep gate. Mirrors
 # `make check`.
 set -eux
 cd "$(dirname "$0")/.."
+# Formatting gate: any file gofmt would rewrite fails the check.
+test -z "$(gofmt -l .)"
 go vet ./...
 go build ./...
 go test ./...
